@@ -18,26 +18,6 @@ object SynthData {
 
   private def n(base: Long, sf: Double): Long = math.max(1L, (base * sf).toLong)
 
-  def lineitem(spark: SparkSession, sf: Double = 0.01, seed: Long = 0): DataFrame = {
-    import spark.implicits._
-    val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
-    spark.range(n(NLineitemPerSf, sf)).select(
-      (rand(seed)     * nOrders + 1).cast(LongType)    as "l_orderkey",
-      (rand(seed + 1) * nPart   + 1).cast(LongType)    as "l_partkey",
-      (rand(seed + 2) * 7 + 1).cast(IntegerType)       as "l_linenumber",
-      (rand(seed + 3) * 50 + 1).cast(DoubleType)       as "l_quantity",
-      round(rand(seed + 4) * 90000 + 900, 2)           as "l_extendedprice",
-      round(rand(seed + 5) * 0.10, 2)                  as "l_discount",
-      round(rand(seed + 6) * 0.08, 2)                  as "l_tax",
-      element_at(array(lit("N"), lit("R"), lit("A")),
-                 (rand(seed + 7) * 3 + 1).cast("int")) as "l_returnflag",
-      element_at(array(lit("O"), lit("F")),
-                 (rand(seed + 8) * 2 + 1).cast("int")) as "l_linestatus",
-      date_add(lit("1992-01-01").cast(DateType),
-               (rand(seed + 9) * 2557).cast("int"))    as "l_shipdate",
-    )
-  }
-
   def orders(spark: SparkSession, sf: Double = 0.01, seed: Long = 1): DataFrame = {
     import spark.implicits._
     val nCust = n(NCustomerPerSf, sf)
@@ -151,29 +131,6 @@ object SynthData {
         element_at(array(lit("CASE"), lit("BOX"), lit("BAG"), lit("JAR"),
                          lit("PKG"), lit("PACK"), lit("CAN"), lit("DRUM")),
                    (rand(seed + 13) * 8 + 1).cast("int"))) as "p_container",
-    )
-  }
-
-  /** Skewed key column — for join-skew / cardinality-estimation papers. */
-  def zipfKeys(spark: SparkSession, rows: Long, nKeys: Long,
-               alpha: Double = 1.1, seed: Long = 3): DataFrame = {
-    import spark.implicits._
-    // Inverse-CDF draw over rank weights 1/k^alpha; good enough for skew.
-    val norm = (1L to math.min(nKeys, 10000L)).map(k => 1.0 / math.pow(k, alpha)).sum
-    spark.range(rows).select(
-      least(lit(nKeys),
-            greatest(lit(1L),
-              pow(lit(1.0) / (rand(seed) * norm + 1e-9), lit(1.0 / alpha)).cast(LongType)
-            )) as "k",
-      rand(seed + 1) as "v",
-    )
-  }
-
-  def uniformKeys(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 4): DataFrame = {
-    import spark.implicits._
-    spark.range(rows).select(
-      (rand(seed) * nKeys + 1).cast(LongType) as "k",
-      rand(seed + 1)                          as "v",
     )
   }
 }

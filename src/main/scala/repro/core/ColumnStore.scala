@@ -61,19 +61,24 @@ final class ColumnStore(val meta: TableMeta, val cols: Array[Array[Double]]) {
   /** Exact selectivity of q over the store. */
   def selectivity(q: QExpr): Double = if (n == 0) 0.0 else Bits.count(evalQuery(q)).toDouble / n
 
+  /** Per advanced cut, the bitmask of rows satisfying it. Evaluated once,
+    * so tightening derives every tri-state by popcount (§6.1).
+    */
+  lazy val advMasks: Array[Array[Long]] = Array.tabulate(meta.nAdv)(a => evalPred(AdvPred(a)))
+
   /** Min-max/dictionary tighten `base` over the rows in `rowsMask`, for the
     * given queried columns only (others keep base's bounds — queries never
     * touch them). Advanced-cut tri-states are recomputed exactly.
     */
   def tighten(base: NodeDesc, rowsMask: Array[Long], queriedCols: IndexedSeq[Int]): NodeDesc = {
-    val acc = new StatsAcc(meta, queriedCols)
-    Bits.foreach(rowsMask)(r => acc.add(this, r))
+    val acc = new StatsAcc(this, queriedCols)
+    acc.add(rowsMask, rowsMask, complement = false)
     acc.toDesc(base)
   }
 
-  /** One-pass tightening of both children of a cut: rows of `nodeMask` go to
-    * the left child when set in `cutMask`. Returns (leftDesc, rightDesc,
-    * leftCount, rightCount).
+  /** Tightening of both children of a cut: rows of `nodeMask` go to the left
+    * child when set in `cutMask`. Returns (leftDesc, rightDesc, leftCount,
+    * rightCount). Thread-safe, so cuts can be scored in parallel.
     */
   def tightenChildren(
       baseLeft: NodeDesc,
@@ -81,42 +86,84 @@ final class ColumnStore(val meta: TableMeta, val cols: Array[Array[Double]]) {
       nodeMask: Array[Long],
       cutMask: Array[Long],
       queriedCols: IndexedSeq[Int]): (NodeDesc, NodeDesc, Int, Int) = {
-    val l = new StatsAcc(meta, queriedCols)
-    val rr = new StatsAcc(meta, queriedCols)
-    Bits.foreach(nodeMask) { r =>
-      if (Bits.get(cutMask, r)) l.add(this, r) else rr.add(this, r)
-    }
+    val l = new StatsAcc(this, queriedCols)
+    val rr = new StatsAcc(this, queriedCols)
+    l.add(nodeMask, cutMask, complement = false)
+    rr.add(nodeMask, cutMask, complement = true)
     (l.toDesc(baseLeft), rr.toDesc(baseRight), l.count, rr.count)
   }
 }
 
 /** Accumulates per-column min/max, categorical code sets and advanced-cut
   * truth counts over a set of rows — a block's min-max index / SMA (§8).
+  * Works on the queried columns' primitive arrays: numeric bounds in
+  * doubles, categorical codes as word-array bitmasks, advanced cuts as
+  * popcounts against `ColumnStore.advMasks`.
   */
-final class StatsAcc(meta: TableMeta, queriedCols: IndexedSeq[Int]) {
+final class StatsAcc(store: ColumnStore, queriedCols: IndexedSeq[Int]) {
+  private val meta = store.meta
   private val qc = queriedCols.toArray
   private val qlo = Array.fill(qc.length)(Double.PositiveInfinity)
   private val qhi = Array.fill(qc.length)(Double.NegativeInfinity)
-  private val qmask: Array[java.util.BitSet] =
-    qc.map(i => if (meta.columns(i).isCategorical) new java.util.BitSet(meta.columns(i).domainSize) else null)
+  private val qcodes: Array[Array[Long]] =
+    qc.map(i => if (meta.columns(i).isCategorical) Bits.alloc(meta.columns(i).domainSize) else null)
   private val advTrue = new Array[Int](meta.nAdv)
   var count: Int = 0
 
-  def add(store: ColumnStore, r: Int): Unit = {
+  /** Add the rows set in `node & sel`, or in `node & ~sel` when
+    * `complement`. Walks set bits word by word, one column at a time.
+    */
+  def add(node: Array[Long], sel: Array[Long], complement: Boolean): Unit = {
+    val flip = if (complement) -1L else 0L
     var k = 0
     while (k < qc.length) {
-      val v = store.cols(qc(k))(r)
-      if (qmask(k) != null) qmask(k).set(v.toInt)
-      else { if (v < qlo(k)) qlo(k) = v; if (v > qhi(k)) qhi(k) = v }
+      val a = store.cols(qc(k))
+      val codes = qcodes(k)
+      var w = 0
+      if (codes != null) {
+        while (w < node.length) {
+          var bits = node(w) & (sel(w) ^ flip)
+          val base = w << 6
+          while (bits != 0) {
+            val v = a(base + java.lang.Long.numberOfTrailingZeros(bits)).toInt
+            codes(v >>> 6) |= 1L << (v & 63)
+            bits &= bits - 1
+          }
+          w += 1
+        }
+      } else {
+        var lo = qlo(k); var hi = qhi(k)
+        while (w < node.length) {
+          var bits = node(w) & (sel(w) ^ flip)
+          val base = w << 6
+          while (bits != 0) {
+            val v = a(base + java.lang.Long.numberOfTrailingZeros(bits))
+            if (v < lo) lo = v
+            if (v > hi) hi = v
+            bits &= bits - 1
+          }
+          w += 1
+        }
+        qlo(k) = lo; qhi(k) = hi
+      }
       k += 1
     }
-    var a = 0
-    while (a < advTrue.length) {
-      val d = meta.advCuts(a)
-      if (meta.evalAdv(a, store.cols(meta.idx(d.left))(r), store.cols(meta.idx(d.right))(r))) advTrue(a) += 1
-      a += 1
+    val adv = store.advMasks
+    var j = 0
+    while (j < adv.length) { advTrue(j) += countSel(node, sel, flip, adv(j)); j += 1 }
+    count += countSel(node, sel, flip, null)
+  }
+
+  /** popcount(node & (sel ^ flip) & extra); a null `extra` counts all. */
+  private def countSel(node: Array[Long], sel: Array[Long], flip: Long, extra: Array[Long]): Int = {
+    var c = 0
+    var w = 0
+    while (w < node.length) {
+      val bits = node(w) & (sel(w) ^ flip)
+      c += java.lang.Long.bitCount(if (extra == null) bits else bits & extra(w))
+      w += 1
     }
-    count += 1
+    c
   }
 
   /** Tightened description: observed stats override base on queried columns. */
@@ -126,8 +173,12 @@ final class StatsAcc(meta: TableMeta, queriedCols: IndexedSeq[Int]) {
     var k = 0
     while (k < qc.length) {
       val i = qc(k)
-      if (qmask(k) != null) masks(i) = BitSet.fromBitMaskNoCopy(qmask(k).toLongArray)
-      else { lo(i) = qlo(k); hi(i) = qhi(k) }
+      val codes = qcodes(k)
+      if (codes != null) {
+        var len = codes.length
+        while (len > 0 && codes(len - 1) == 0L) len -= 1
+        masks(i) = BitSet.fromBitMaskNoCopy(java.util.Arrays.copyOf(codes, len))
+      } else { lo(i) = qlo(k); hi(i) = qhi(k) }
       k += 1
     }
     var a = 0

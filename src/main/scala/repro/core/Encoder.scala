@@ -73,7 +73,9 @@ object Encoder {
   def collect(df: DataFrame, meta: TableMeta, fraction: Double = 1.0, seed: Long = 7,
               maxRows: Int = 2_000_000): ColumnStore = {
     val s = if (fraction < 1.0) df.sample(withReplacement = false, fraction, seed) else df
-    val rows = s.limit(maxRows).collect()
+    val limited = s.limit(maxRows)
+    val ordinals = meta.columns.map(c => limited.schema.fieldIndex(c.name)).toArray
+    val rows = limited.collect()
     val n = rows.length
     val cols = Array.ofDim[Double](meta.nCols, n)
     var r = 0
@@ -81,7 +83,7 @@ object Encoder {
       val row = rows(r)
       var c = 0
       while (c < meta.nCols) {
-        cols(c)(r) = row.getDouble(row.fieldIndex(meta.columns(c).name))
+        cols(c)(r) = row.getDouble(ordinals(c))
         c += 1
       }
       r += 1

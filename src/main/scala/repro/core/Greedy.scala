@@ -44,6 +44,7 @@ object Greedy {
     val meta = store.meta
     val queried = Workload.queriedCols(meta, w.zipWithIndex.map { case (e, i) => Query(s"q$i", e) })
     val cutMasks: IndexedSeq[Array[Long]] = cuts.map(store.evalPred)
+    val wq = w.toIndexedSeq
 
     var bidCounter = 0
     val masksOut = scala.collection.mutable.ArrayBuffer[Array[Long]]()
@@ -61,44 +62,45 @@ object Greedy {
 
       // Current node's skipping capacity with a tightened description.
       val selfTight = store.tighten(desc, mask, queried)
-      val selfSkip = CostModel.skippedQueries(meta, w, selfTight).toLong * size
+      val selfSkip = CostModel.skippedQueries(meta, wq, selfTight).toLong * size
 
-      var bestScore = selfSkip
-      var bestCut = -1
-      var bestLeft: (Array[Long], Int, NodeDesc) = null
-      var bestRight: (Array[Long], Int, NodeDesc) = null
-
-      var ci = 0
-      while (ci < cuts.length) {
+      // Score every legal cut in parallel; illegal cuts score Long.MinValue.
+      val scores = new Array[Long](cuts.length)
+      java.util.stream.IntStream.range(0, cuts.length).parallel().forEach { ci =>
         val ln = Bits.countAnd(mask, cutMasks(ci))
         val rn = size - ln
         val legal =
           if (relaxed) ln >= 1 && rn >= 1 && (ln >= b || rn >= b)
           else ln >= b && rn >= b
-        if (legal) {
-          val cut = cuts(ci)
-          val baseL = desc.restrict(meta, cut, left = true)
-          val baseR = desc.restrict(meta, cut, left = false)
-          val lm = Bits.and(mask, cutMasks(ci))
-          val rm = Bits.andNot(mask, cutMasks(ci))
-          val (ld, rd, lc, rc) = store.tightenChildren(baseL, baseR, mask, cutMasks(ci), queried)
-          val score = CostModel.skippedQueries(meta, w, ld).toLong * lc +
-                      CostModel.skippedQueries(meta, w, rd).toLong * rc
-          if (score > bestScore) {
-            bestScore = score; bestCut = ci
-            bestLeft = (lm, lc, baseL); bestRight = (rm, rc, baseR)
+        scores(ci) =
+          if (!legal) Long.MinValue
+          else {
+            val cut = cuts(ci)
+            val (ld, rd, lc, rc) = store.tightenChildren(
+              desc.restrict(meta, cut, left = true), desc.restrict(meta, cut, left = false),
+              mask, cutMasks(ci), queried)
+            CostModel.skippedQueries(meta, wq, ld).toLong * lc +
+              CostModel.skippedQueries(meta, wq, rd).toLong * rc
           }
-        }
+      }
+
+      // Highest score wins; ties go to the lowest cut index.
+      var bestScore = selfSkip
+      var bestCut = -1
+      var ci = 0
+      while (ci < cuts.length) {
+        if (scores(ci) > bestScore) { bestScore = scores(ci); bestCut = ci }
         ci += 1
       }
 
       if (bestCut < 0) mkLeaf(desc, mask, size)
       else {
-        val (lm, lc, ldesc) = bestLeft
-        val (rm, rc, rdesc) = bestRight
-        val left = grow(lm, lc, ldesc)
-        val right = grow(rm, rc, rdesc)
-        QdInternal(desc, cuts(bestCut), left, right)
+        val cut = cuts(bestCut)
+        val lm = Bits.and(mask, cutMasks(bestCut))
+        val lc = Bits.count(lm)
+        val left = grow(lm, lc, desc.restrict(meta, cut, left = true))
+        val right = grow(Bits.andNot(mask, cutMasks(bestCut)), size - lc, desc.restrict(meta, cut, left = false))
+        QdInternal(desc, cut, left, right)
       }
     }
 

@@ -26,18 +26,19 @@ object TwoTree {
     val cutMasks = cuts.map(store.evalPred)
 
     // Mutable leaf bookkeeping: per-query accessed tuples B_q under the
-    // current (partial) T2 partitioning.
-    final class Leaf(val mask: Array[Long], val size: Int, val desc: NodeDesc) {
-      val tight: NodeDesc = store.tighten(desc, mask, queried)
+    // current (partial) T2 partitioning. `tight` is the leaf's tightened
+    // description, which decides which queries hit it.
+    final class Leaf(val mask: Array[Long], val size: Int, val desc: NodeDesc, tight: NodeDesc) {
       val hits: Array[Boolean] = w.map(q => tight.intersects(meta, q)).toArray
-      var node: QdLeaf = _
       var cut: Pred = _
       var left: Leaf = _
       var right: Leaf = _
     }
 
     val bq = new Array[Long](w.length)
-    val root = new Leaf(Bits.full(store.n), store.n, NodeDesc.root(meta))
+    val rootDesc = NodeDesc.root(meta)
+    val rootMask = Bits.full(store.n)
+    val root = new Leaf(rootMask, store.n, rootDesc, store.tighten(rootDesc, rootMask, queried))
     for (i <- w.indices) if (root.hits(i)) bq(i) += root.size
 
     def combined(a: Long, bb: Long): Long = math.min(a, bb) // accessed: min of the two trees
@@ -47,34 +48,40 @@ object TwoTree {
       val leaf = queue.dequeue()
       if (leaf.size >= 2 * b) {
         var bestGain = 0L
-        var best: (Int, Leaf, Leaf) = null
+        var best = -1
+        var bestTight: (NodeDesc, NodeDesc) = null
         var ci = 0
         while (ci < cuts.length) {
           val ln = Bits.countAnd(leaf.mask, cutMasks(ci))
-          if (ln >= b && leaf.size - ln >= b) {
-            val lm = Bits.and(leaf.mask, cutMasks(ci))
-            val rm = Bits.andNot(leaf.mask, cutMasks(ci))
-            val lLeaf = new Leaf(lm, ln, leaf.desc.restrict(meta, cuts(ci), left = true))
-            val rLeaf = new Leaf(rm, leaf.size - ln, leaf.desc.restrict(meta, cuts(ci), left = false))
+          val rn = leaf.size - ln
+          if (ln >= b && rn >= b) {
+            val (ld, rd, _, _) = store.tightenChildren(
+              leaf.desc.restrict(meta, cuts(ci), left = true), leaf.desc.restrict(meta, cuts(ci), left = false),
+              leaf.mask, cutMasks(ci), queried)
             // Gain = Σ_q [ min(A_q,B_q) − min(A_q,B'_q) ]  (accessed drops).
             var gain = 0L
             var qi = 0
             while (qi < w.length) {
               if (leaf.hits(qi)) {
                 var nb = bq(qi) - leaf.size
-                if (lLeaf.hits(qi)) nb += lLeaf.size
-                if (rLeaf.hits(qi)) nb += rLeaf.size
+                if (ld.intersects(meta, w(qi))) nb += ln
+                if (rd.intersects(meta, w(qi))) nb += rn
                 gain += combined(accessedUnderT1(qi), bq(qi)) - combined(accessedUnderT1(qi), nb)
               }
               qi += 1
             }
-            if (gain > bestGain) { bestGain = gain; best = (ci, lLeaf, rLeaf) }
+            if (gain > bestGain) { bestGain = gain; best = ci; bestTight = (ld, rd) }
           }
           ci += 1
         }
-        if (best != null) {
-          val (ci, l, r) = best
-          leaf.cut = cuts(ci); leaf.left = l; leaf.right = r
+        if (best >= 0) {
+          val cut = cuts(best)
+          val lm = Bits.and(leaf.mask, cutMasks(best))
+          val ln = Bits.count(lm)
+          val l = new Leaf(lm, ln, leaf.desc.restrict(meta, cut, left = true), bestTight._1)
+          val r = new Leaf(Bits.andNot(leaf.mask, cutMasks(best)), leaf.size - ln,
+            leaf.desc.restrict(meta, cut, left = false), bestTight._2)
+          leaf.cut = cut; leaf.left = l; leaf.right = r
           var qi = 0
           while (qi < w.length) {
             if (leaf.hits(qi)) {

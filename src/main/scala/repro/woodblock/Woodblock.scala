@@ -59,10 +59,19 @@ final case class WoodblockConfig(
     timeLimitMs: Long = Long.MaxValue,
     ppo: PpoConfig = PpoConfig())
 
+/** Mean PPO policy loss, value loss and entropy of an update's last epoch. */
+final case class PpoStats(policyLoss: Double, valueLoss: Double, entropy: Double)
+
 /** One point of the learning curve: episode index, this episode's scan
-  * fraction, and the best scan fraction so far.
+  * fraction, the best scan fraction so far, and — on episodes that end with
+  * a PPO update — that update's losses and entropy.
   */
-final case class EpisodePoint(episode: Int, scanFraction: Double, bestSoFar: Double, elapsedMs: Long)
+final case class EpisodePoint(
+    episode: Int,
+    scanFraction: Double,
+    bestSoFar: Double,
+    elapsedMs: Long,
+    ppo: Option[PpoStats] = None)
 
 final case class WoodblockResult(best: BuildResult, bestScanFraction: Double, curve: IndexedSeq[EpisodePoint])
 
@@ -100,11 +109,14 @@ object Woodblock {
       buffer ++= exps
       if (scan < bestScan) { bestScan = scan; best = result }
       val elapsed = (System.nanoTime() - t0) / 1000000
-      curve += EpisodePoint(ep, scan, bestScan, elapsed)
-      if ((ep + 1) % cfg.updateEvery == 0) {
-        ppo.update(buffer.toIndexedSeq)
-        buffer.clear()
-      }
+      val stats =
+        if ((ep + 1) % cfg.updateEvery != 0) None
+        else {
+          val (p, v, h) = ppo.update(buffer.toIndexedSeq)
+          buffer.clear()
+          Some(PpoStats(p, v, h))
+        }
+      curve += EpisodePoint(ep, scan, bestScan, elapsed, stats)
       if (elapsed > cfg.timeLimitMs) stop = true
       ep += 1
     }

@@ -39,6 +39,14 @@ class WoodblockSpec extends AnyFunSuite {
     for (l <- res.best.tree.leaves) assert(l.size >= 200)
     assert(res.curve.length == 6)
     assert(res.bestScanFraction <= res.curve.head.scanFraction + 1e-12)
+    // Episodes 2 and 5 end with a PPO update and carry its losses.
+    for (p <- res.curve) {
+      if ((p.episode + 1) % 3 == 0) {
+        val s = p.ppo.getOrElse(fail(s"episode ${p.episode} has no PPO stats"))
+        for (x <- Seq(s.policyLoss, s.valueLoss, s.entropy)) assert(!x.isNaN && !x.isInfinite, s"$s")
+        assert(s.valueLoss >= 0 && s.entropy >= 0, s"$s")
+      } else assert(p.ppo.isEmpty)
+    }
   }
 
   test("Fig. 3 microbenchmark: WOODBLOCK beats Greedy by exploiting disjunction") {
