@@ -129,10 +129,12 @@ class TightenPropertySpec extends AnyFunSuite {
   }
 
   test("tightenChildren equals brute-force recomputation of both children") {
+    var emptyChildren = 0 // an empty child must keep its base tri-states
     check(Prop.forAllNoShrink(cases) { c =>
       val rows = Bits.toIndices(c.nodeMask).toSeq
       val (lRows, rRows) = rows.partition(Bits.get(c.cutMask, _))
       val (ld, rd, lc, rc) = c.store.tightenChildren(c.baseLeft, c.baseRight, c.nodeMask, c.cutMask, c.queried)
+      if (lRows.isEmpty || rRows.isEmpty) emptyChildren += 1
       val problems =
         diff("left", ld, bruteForce(c.store, c.baseLeft, lRows, c.queried)) ++
           diff("right", rd, bruteForce(c.store, c.baseRight, rRows, c.queried)) ++
@@ -140,19 +142,7 @@ class TightenPropertySpec extends AnyFunSuite {
            else Nil)
       Prop(problems.isEmpty) :| problems.mkString("; ")
     })
-  }
-
-  test("an empty child keeps the base tri-states and non-queried bounds") {
-    val c = mkCase(3)
-    val meta = c.store.meta
-    val empty = Bits.alloc(c.store.n)
-    val (ld, _, lc, _) = c.store.tightenChildren(c.baseLeft, c.baseRight, c.nodeMask, empty, c.queried)
-    assert(lc == 0)
-    assert(ld.adv.sameElements(c.baseLeft.adv))
-    for (i <- meta.columns.indices if !c.queried.contains(i)) {
-      assert(ld.lo(i) == c.baseLeft.lo(i) && ld.hi(i) == c.baseLeft.hi(i))
-      assert(ld.masks(i) == c.baseLeft.masks(i))
-    }
+    assert(emptyChildren > 0)
   }
 }
 
