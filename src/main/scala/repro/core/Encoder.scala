@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.DoubleType
 
@@ -26,36 +26,40 @@ final case class IntCatCol(name: String, domain: Int) extends ColSpec
 object Encoder {
 
   def encode(df: DataFrame, specs: Seq[ColSpec], advCuts: Seq[AdvCutDef] = Nil): (DataFrame, TableMeta) = {
-    val spark = df.sparkSession
-    val dicts: Map[String, IndexedSeq[String]] = specs.collect { case CatCol(n) =>
-      val values = df.select(col(n).cast("string")).distinct().collect().map(_.getString(0)).sorted.toIndexedSeq
-      n -> values
+    // Encoded expression of each ordered column: the encoded frame selects it
+    // and the aggregation takes its bounds, so both see the same doubles.
+    val ordered: Map[String, Column] = specs.collect {
+      case NumCol(n, s) => n -> (if (s == 1.0) col(n).cast(DoubleType) else round(col(n) * s).cast(DoubleType))
+      case DateCol(n)   => n -> datediff(col(n), lit("1970-01-01").cast("date")).cast(DoubleType)
     }.toMap
 
-    val encodedCols = specs.map {
-      case NumCol(n, s) =>
-        (if (s == 1.0) col(n).cast(DoubleType) else round(col(n) * s).cast(DoubleType)).as(n)
-      case DateCol(n) =>
-        datediff(col(n), lit("1970-01-01").cast("date")).cast(DoubleType).as(n)
+    // One aggregation over the raw frame (a single pass) yields every
+    // dictionary, every categorical null count and every numeric/date bound.
+    val aggs = specs.flatMap {
       case CatCol(n) =>
-        val dict = dicts(n)
-        val codeOf = dict.zipWithIndex.toMap
+        Seq(collect_set(col(n).cast("string")).as(s"dict_$n"), count(when(col(n).isNull, 1)).as(s"nulls_$n"))
+      case s @ (_: NumCol | _: DateCol) =>
+        Seq(min(ordered(s.name)).as(s"lo_${s.name}"), max(ordered(s.name)).as(s"hi_${s.name}"))
+      case _: IntCatCol => Nil
+    }
+    val stats = if (aggs.isEmpty) Row.empty else df.agg(aggs.head, aggs.tail: _*).head()
+
+    val dicts: Map[String, IndexedSeq[String]] = specs.collect { case CatCol(n) =>
+      val nulls = stats.getAs[Long](s"nulls_$n")
+      require(nulls == 0, s"categorical column $n has $nulls null values; CatCol requires non-null values")
+      n -> stats.getSeq[String](stats.fieldIndex(s"dict_$n")).sorted.toIndexedSeq
+    }.toMap
+    def bounds(n: String): (Double, Double) = (stats.getAs[Double](s"lo_$n"), stats.getAs[Double](s"hi_$n"))
+
+    val encodedCols = specs.map {
+      case CatCol(n) =>
+        val codeOf = dicts(n).zipWithIndex.toMap
         val enc = udf((s: String) => codeOf(s).toDouble)
         enc(col(n).cast("string")).as(n)
-      case IntCatCol(n, _) =>
-        col(n).cast(DoubleType).as(n)
+      case IntCatCol(n, _) => col(n).cast(DoubleType).as(n)
+      case s @ (_: NumCol | _: DateCol) => ordered(s.name).as(s.name)
     }
     val encoded = df.select(encodedCols: _*)
-
-    // Domain bounds for numeric/date columns from the data itself.
-    val numNames = specs.collect { case NumCol(n, _) => n; case DateCol(n) => n }
-    val bounds: Map[String, (Double, Double)] =
-      if (numNames.isEmpty) Map.empty
-      else {
-        val aggs = numNames.flatMap(n => Seq(min(col(n)).as(s"lo_$n"), max(col(n)).as(s"hi_$n")))
-        val row = encoded.agg(aggs.head, aggs.tail: _*).collect()(0)
-        numNames.map(n => n -> (row.getAs[Double](s"lo_$n"), row.getAs[Double](s"hi_$n"))).toMap
-      }
 
     val metas = specs.map {
       case NumCol(n, _)    => val (lo, hi) = bounds(n); ColumnMeta(n, ColKind.Numeric, lo, hi)
