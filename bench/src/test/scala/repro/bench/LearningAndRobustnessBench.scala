@@ -20,9 +20,18 @@ class LearningAndRobustnessBench extends SparkSpec {
     val best = curve.last.bestSoFar
     println(f"== Fig. 8 == episodes=${curve.length} first-episode scan=${first * 100}%.1f%% " +
       f"best=${best * 100}%.1f%% (paper: init ~39%% << Random 56%%, improves over ~10 min)")
+    val trainS = curve.last.elapsedMs / 1000.0
+    println(f"  ${curve.length / math.max(trainS, 1e-3)}%.1f episodes/s over $trainS%.1f s")
     println(curve.grouped(math.max(1, curve.length / 10)).map(_.head)
       .map(p => f"  ep${p.episode}%4d t=${p.elapsedMs / 1000}%4ds scan=${p.scanFraction * 100}%6.2f%% best=${p.bestSoFar * 100}%6.2f%%")
       .mkString("\n"))
+    val updates = curve.filter(_.ppo.isDefined)
+    println(s"  PPO, ${updates.length} updates:")
+    println(updates.grouped(math.max(1, updates.length / 10)).map(_.head)
+      .map { p =>
+        val s = p.ppo.get
+        f"  ep${p.episode}%4d policy_loss=${s.policyLoss}%+.4f value_loss=${s.valueLoss}%.4f entropy=${s.entropy}%.3f"
+      }.mkString("\n"))
     // Improvement over the run.
     assert(best <= first, "best-so-far must not regress")
     // Random init (workload-aligned cuts) beats the Random partitioner.

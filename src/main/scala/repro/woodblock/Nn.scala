@@ -30,10 +30,14 @@ final class Adam(params: Seq[Param], lr: Double, b1: Double = 0.9, b2: Double = 
   }
 }
 
-/** Forward-pass cache for one state (needed by backprop). */
+/** Forward-pass cache for one state (needed by backprop). `logits` holds a
+  * value only at the `legal` action indices (ascending); the other entries are
+  * 0 and never read. `version` is the net's parameter version at the pass.
+  */
 final case class FwdCache(x: Array[Double], z1: Array[Double], a1: Array[Double],
                           z2: Array[Double], a2: Array[Double],
-                          logits: Array[Double], value: Double)
+                          legal: Array[Int], logits: Array[Double], value: Double,
+                          version: Long)
 
 /** The WOODBLOCK network (§5.2.3): two shared fully-connected ReLU layers,
   * a |A|-dim linear policy head and a scalar value head. Implemented with
@@ -55,39 +59,58 @@ final class PolicyValueNet(val inputDim: Int, val hidden: Int, val nActions: Int
   def params: Seq[Param] = Seq(w1, b1, w2, b2, wp, bp, wv, bv)
   def zeroGrads(): Unit = params.foreach(_.zeroGrad())
 
+  /** Every action index, ascending: the legality of a forward pass without a mask. */
+  val allActions: Array[Int] = Array.range(0, nActions)
+
+  private var _version = 0L
+  /** Parameter version: a `FwdCache` with this version is the forward pass
+    * the current parameters give.
+    */
+  def version: Long = _version
+  /** Records that the parameters changed (after an optimizer step). */
+  def paramsUpdated(): Unit = _version += 1
+
+  private def row(w: Param, b: Param, x: Array[Double], r: Int): Double = {
+    var s = b.v(r)
+    val off = r * w.cols
+    var c = 0
+    while (c < w.cols) { s += w.v(off + c) * x(c); c += 1 }
+    s
+  }
+
   private def affine(w: Param, b: Param, x: Array[Double]): Array[Double] = {
     val out = new Array[Double](w.rows)
     var r = 0
-    while (r < w.rows) {
-      var s = b.v(r)
-      val off = r * w.cols
-      var c = 0
-      while (c < w.cols) { s += w.v(off + c) * x(c); c += 1 }
-      out(r) = s
-      r += 1
-    }
+    while (r < w.rows) { out(r) = row(w, b, x, r); r += 1 }
     out
   }
 
-  def forward(x: Array[Double]): FwdCache = {
+  /** Forward pass for state `x`. The policy head computes a logit only for
+    * the `legal` actions (ascending indices).
+    */
+  def forward(x: Array[Double], legal: Array[Int] = allActions): FwdCache = {
     require(x.length == inputDim, s"input dim ${x.length} != $inputDim")
     val z1 = affine(w1, b1, x)
     val a1 = z1.map(v => if (v > 0) v else 0.0)
     val z2 = affine(w2, b2, a1)
     val a2 = z2.map(v => if (v > 0) v else 0.0)
-    val logits = affine(wp, bp, a2)
-    val value = affine(wv, bv, a2)(0)
-    FwdCache(x, z1, a1, z2, a2, logits, value)
+    val logits = new Array[Double](nActions)
+    var k = 0
+    while (k < legal.length) { val a = legal(k); logits(a) = row(wp, bp, a2, a); k += 1 }
+    val value = row(wv, bv, a2, 0)
+    FwdCache(x, z1, a1, z2, a2, legal, logits, value, _version)
   }
 
   /** Accumulate gradients for one sample given upstream dLoss/dLogits and
     * dLoss/dValue. Caller averages by zeroing grads and scaling dLogits.
+    * Only the entries of `dLogits` at `c.legal` are read.
     */
   def backward(c: FwdCache, dLogits: Array[Double], dValue: Double): Unit = {
     val dA2 = new Array[Double](hidden)
     // Policy head.
-    var a = 0
-    while (a < nActions) {
+    var k = 0
+    while (k < c.legal.length) {
+      val a = c.legal(k)
       val d = dLogits(a)
       if (d != 0.0) {
         val off = a * hidden
@@ -99,7 +122,7 @@ final class PolicyValueNet(val inputDim: Int, val hidden: Int, val nActions: Int
         }
         bp.g(a) += d
       }
-      a += 1
+      k += 1
     }
     // Value head.
     var h = 0
@@ -145,36 +168,48 @@ final class PolicyValueNet(val inputDim: Int, val hidden: Int, val nActions: Int
 }
 
 object Nn {
-  /** Masked log-softmax: illegal actions get -inf logits. Returns log-probs
-    * (NaN-free: illegal entries are Double.NegativeInfinity).
+  /** Masked log-softmax over the `legal` indices (ascending). Returns
+    * log-probs; illegal entries are Double.NegativeInfinity, and their
+    * logits are never read.
     */
-  def maskedLogSoftmax(logits: Array[Double], legal: Array[Boolean]): Array[Double] = {
+  def maskedLogSoftmax(logits: Array[Double], legal: Array[Int]): Array[Double] = {
     var mx = Double.NegativeInfinity
-    var i = 0
-    while (i < logits.length) { if (legal(i) && logits(i) > mx) mx = logits(i); i += 1 }
+    var k = 0
+    while (k < legal.length) { val v = logits(legal(k)); if (v > mx) mx = v; k += 1 }
     var sum = 0.0
-    i = 0
-    while (i < logits.length) { if (legal(i)) sum += math.exp(logits(i) - mx); i += 1 }
+    k = 0
+    while (k < legal.length) { sum += math.exp(logits(legal(k)) - mx); k += 1 }
     val lse = mx + math.log(sum)
-    logits.indices.map(j => if (legal(j)) logits(j) - lse else Double.NegativeInfinity).toArray
+    val out = new Array[Double](logits.length)
+    java.util.Arrays.fill(out, Double.NegativeInfinity)
+    k = 0
+    while (k < legal.length) { val a = legal(k); out(a) = logits(a) - lse; k += 1 }
+    out
   }
 
-  def probsFromLogProbs(lp: Array[Double]): Array[Double] =
-    lp.map(v => if (v == Double.NegativeInfinity) 0.0 else math.exp(v))
+  /** Probabilities of the `legal` actions from their log-probs; 0 elsewhere. */
+  def probsFromLogProbs(lp: Array[Double], legal: Array[Int]): Array[Double] = {
+    val out = new Array[Double](lp.length)
+    var k = 0
+    while (k < legal.length) { val a = legal(k); out(a) = math.exp(lp(a)); k += 1 }
+    out
+  }
 
-  /** Sample an action index from masked probabilities. */
-  def sample(probs: Array[Double], rng: Random): Int = {
+  /** Sample an action index among the `legal` ones (ascending) from masked
+    * probabilities.
+    */
+  def sample(probs: Array[Double], legal: Array[Int], rng: Random): Int = {
     val u = rng.nextDouble()
     var acc = 0.0
-    var i = 0
-    while (i < probs.length) {
-      acc += probs(i)
-      if (u < acc) return i
-      i += 1
+    var k = 0
+    while (k < legal.length) {
+      acc += probs(legal(k))
+      if (u < acc) return legal(k)
+      k += 1
     }
-    // Numerical fallback: last legal action.
-    var j = probs.length - 1
-    while (j > 0 && probs(j) == 0.0) j -= 1
-    j
+    // Numerical fallback: last legal action with a nonzero probability.
+    var j = legal.length - 1
+    while (j > 0 && probs(legal(j)) == 0.0) j -= 1
+    legal(j)
   }
 }

@@ -3,18 +3,21 @@ package repro.woodblock
 import java.util.Random
 
 /** One collected (state, action, reward) experience of the tree-MDP (§5.2):
-  * per-node state features, the sampled cut, the log-prob under the behavior
-  * policy, the legality mask, and the normalized per-node reward R((n,p)) —
-  * which in this MDP *is* the return for the node (NeuroCuts-style
-  * independent subproblems, §5.2.4).
+  * the behavior policy's forward pass on the node's state features (which
+  * carries the legal actions and the value estimate), the sampled cut, its
+  * log-prob, and the normalized per-node reward R((n,p)) — which in this MDP
+  * *is* the return for the node (NeuroCuts-style independent subproblems,
+  * §5.2.4).
   */
 final case class Experience(
-    features: Array[Double],
+    fwd: FwdCache,
     action: Int,
     logpOld: Double,
-    legal: Array[Boolean],
-    reward: Double,
-    valueOld: Double)
+    reward: Double) {
+  def features: Array[Double] = fwd.x
+  def legal: Array[Int] = fwd.legal
+  def valueOld: Double = fwd.value
+}
 
 /** PPO hyper-parameters (clipped surrogate; §5.2 uses PPO as a black-box
   * update rule).
@@ -60,9 +63,11 @@ final class Ppo(net: PolicyValueNet, cfg: PpoConfig, seed: Long = 0) {
         while (k < end) {
           val e = batch(idx(k))
           val a = adv(idx(k))
-          val c = net.forward(e.features)
-          val lp = Nn.maskedLogSoftmax(c.logits, e.legal)
-          val p = Nn.probsFromLogProbs(lp)
+          // Until the first Adam step the rollout's forward pass is current.
+          val c = if (e.fwd.version == net.version) e.fwd else net.forward(e.features, e.legal)
+          val legal = e.legal
+          val lp = Nn.maskedLogSoftmax(c.logits, legal)
+          val p = Nn.probsFromLogProbs(lp, legal)
           val logpNew = lp(e.action)
           val ratio = math.exp(logpNew - e.logpOld)
           val surr1 = ratio * a
@@ -72,19 +77,18 @@ final class Ppo(net: PolicyValueNet, cfg: PpoConfig, seed: Long = 0) {
           val dLogp = if (surr1 <= surr2) -ratio * a else 0.0
           // Entropy bonus: H = -Σ p log p over legal actions.
           var ent = 0.0
-          var j = 0
-          while (j < p.length) { if (p(j) > 1e-12) ent -= p(j) * lp(j); j += 1 }
+          var q = 0
+          while (q < legal.length) { val j = legal(q); if (p(j) > 1e-12) ent -= p(j) * lp(j); q += 1 }
           val dLogits = new Array[Double](p.length)
-          j = 0
-          while (j < p.length) {
-            if (e.legal(j)) {
-              // d logp_a / d z_j = δ_aj − p_j ; d(−H)/d z_j = p_j (log p_j + H)
-              val dFromPolicy = dLogp * ((if (j == e.action) 1.0 else 0.0) - p(j))
-              val dFromEntropy =
-                if (p(j) > 1e-12) cfg.entropyCoef * p(j) * (lp(j) + ent) else 0.0
-              dLogits(j) = (dFromPolicy + dFromEntropy) / mbSize
-            }
-            j += 1
+          q = 0
+          while (q < legal.length) {
+            val j = legal(q)
+            // d logp_a / d z_j = δ_aj − p_j ; d(−H)/d z_j = p_j (log p_j + H)
+            val dFromPolicy = dLogp * ((if (j == e.action) 1.0 else 0.0) - p(j))
+            val dFromEntropy =
+              if (p(j) > 1e-12) cfg.entropyCoef * p(j) * (lp(j) + ent) else 0.0
+            dLogits(j) = (dFromPolicy + dFromEntropy) / mbSize
+            q += 1
           }
           val vErr = c.value - e.reward
           val dValue = cfg.valueCoef * 2.0 * vErr / mbSize
@@ -96,6 +100,7 @@ final class Ppo(net: PolicyValueNet, cfg: PpoConfig, seed: Long = 0) {
         }
         clipGrads()
         adam.step()
+        net.paramsUpdated()
         off = end
       }
     }

@@ -63,8 +63,9 @@ final case class WoodblockConfig(
 final case class PpoStats(policyLoss: Double, valueLoss: Double, entropy: Double)
 
 /** One point of the learning curve: episode index, this episode's scan
-  * fraction, the best scan fraction so far, and — on episodes that end with
-  * a PPO update — that update's losses and entropy.
+  * fraction, the best scan fraction so far, the training time at the end of
+  * the episode (its PPO update included), and — on episodes that end with a
+  * PPO update — that update's losses and entropy.
   */
 final case class EpisodePoint(
     episode: Int,
@@ -90,7 +91,7 @@ object Woodblock {
   def train(store: ColumnStore, w: Seq[QExpr], cuts: IndexedSeq[Pred], cfg: WoodblockConfig): WoodblockResult = {
     val meta = store.meta
     val queried = Workload.queriedCols(meta, w.zipWithIndex.map { case (e, i) => Query(s"q$i", e) })
-    val cutMasks = cuts.map(store.evalPred)
+    val cutMasks = cuts.map(store.evalPred).toArray
     val fz = new Featurizer(meta, queried)
     val net = new PolicyValueNet(fz.dim, cfg.hidden, cuts.length, cfg.seed)
     val ppo = new Ppo(net, cfg.ppo, cfg.seed + 1)
@@ -108,7 +109,6 @@ object Woodblock {
       val (result, exps, scan) = episode(store, w, cuts, cutMasks, queried, fz, net, rng, cfg)
       buffer ++= exps
       if (scan < bestScan) { bestScan = scan; best = result }
-      val elapsed = (System.nanoTime() - t0) / 1000000
       val stats =
         if ((ep + 1) % cfg.updateEvery != 0) None
         else {
@@ -116,11 +116,31 @@ object Woodblock {
           buffer.clear()
           Some(PpoStats(p, v, h))
         }
+      val elapsed = (System.nanoTime() - t0) / 1000000
       curve += EpisodePoint(ep, scan, bestScan, elapsed, stats)
       if (elapsed > cfg.timeLimitMs) stop = true
       ep += 1
     }
     WoodblockResult(best, bestScan, curve.toIndexedSeq)
+  }
+
+  /** The cuts among `candidates` (ascending cut indices) that are legal at
+    * a node with row set `mask` of `size` rows: both children keep at least
+    * `b` rows (§5.2.1). A child's rows on either side of a cut are a subset
+    * of its parent's, so a cut illegal at a node is illegal at its children,
+    * and the parent's legal cuts are the only candidates a child needs.
+    */
+  def legalCuts(mask: Array[Long], size: Int, candidates: Array[Int], cutMasks: Array[Array[Long]], b: Int): Array[Int] = {
+    val out = new Array[Int](candidates.length)
+    var n = 0
+    var k = 0
+    while (k < candidates.length) {
+      val ci = candidates(k)
+      val ln = Bits.countAnd(mask, cutMasks(ci))
+      if (ln >= b && size - ln >= b) { out(n) = ci; n += 1 }
+      k += 1
+    }
+    java.util.Arrays.copyOf(out, n)
   }
 
   /** Construct one tree by sampling the current policy; returns the tree,
@@ -130,7 +150,7 @@ object Woodblock {
       store: ColumnStore,
       w: Seq[QExpr],
       cuts: IndexedSeq[Pred],
-      cutMasks: IndexedSeq[Array[Long]],
+      cutMasks: Array[Array[Long]],
       queried: IndexedSeq[Int],
       fz: Featurizer,
       net: PolicyValueNet,
@@ -138,8 +158,9 @@ object Woodblock {
       cfg: WoodblockConfig): (BuildResult, IndexedSeq[Experience], Double) = {
     val meta = store.meta
 
-    // Mutable tree under construction.
-    final class Mut(val mask: Array[Long], val size: Int, val desc: NodeDesc) {
+    // Mutable tree under construction. `candidates` holds the cuts that may
+    // be legal here: every cut at the root, the parent's legal cuts below it.
+    final class Mut(val mask: Array[Long], val size: Int, val desc: NodeDesc, val candidates: Array[Int]) {
       var cut: Pred = _
       var left: Mut = _
       var right: Mut = _
@@ -147,36 +168,27 @@ object Woodblock {
       var skipped: Long = 0 // S(n), filled bottom-up after the episode
     }
 
-    val root = new Mut(Bits.full(store.n), store.n, NodeDesc.root(meta))
+    val root = new Mut(Bits.full(store.n), store.n, NodeDesc.root(meta), Array.range(0, cuts.length))
     val queue = scala.collection.mutable.Queue(root)
     var leafCount = 1
 
     while (queue.nonEmpty) {
       val node = queue.dequeue()
-      // Legality (§5.2.1): both children must hold at least b store rows.
-      val legal = new Array[Boolean](cuts.length)
-      var any = false
-      if (node.size >= 2 * cfg.b && leafCount + 1 <= cfg.maxLeaves) {
-        var ci = 0
-        while (ci < cuts.length) {
-          val ln = Bits.countAnd(node.mask, cutMasks(ci))
-          if (ln >= cfg.b && node.size - ln >= cfg.b) { legal(ci) = true; any = true }
-          ci += 1
-        }
-      }
-      if (any) {
-        val x = fz.featurize(node.desc)
-        val c = net.forward(x)
+      val legal =
+        if (node.size >= 2 * cfg.b && leafCount + 1 <= cfg.maxLeaves)
+          legalCuts(node.mask, node.size, node.candidates, cutMasks, cfg.b)
+        else Array.emptyIntArray
+      if (legal.nonEmpty) {
+        val c = net.forward(fz.featurize(node.desc), legal)
         val lp = Nn.maskedLogSoftmax(c.logits, legal)
-        val probs = Nn.probsFromLogProbs(lp)
-        val a = Nn.sample(probs, rng)
+        val a = Nn.sample(Nn.probsFromLogProbs(lp, legal), legal, rng)
         val cut = cuts(a)
         val lm = Bits.and(node.mask, cutMasks(a))
         val rm = Bits.andNot(node.mask, cutMasks(a))
         node.cut = cut
-        node.left = new Mut(lm, Bits.count(lm), node.desc.restrict(meta, cut, left = true))
-        node.right = new Mut(rm, node.size - Bits.count(lm), node.desc.restrict(meta, cut, left = false))
-        node.exp = Experience(x, a, lp(a), legal, reward = 0.0, valueOld = c.value)
+        node.left = new Mut(lm, Bits.count(lm), node.desc.restrict(meta, cut, left = true), legal)
+        node.right = new Mut(rm, node.size - Bits.count(lm), node.desc.restrict(meta, cut, left = false), legal)
+        node.exp = Experience(c, a, lp(a), reward = 0.0)
         leafCount += 1
         queue.enqueue(node.left)
         queue.enqueue(node.right)

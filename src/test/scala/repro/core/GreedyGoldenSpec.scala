@@ -7,7 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
   * must reproduce them exactly: same cuts, same BIDs, same leaf row sets.
   */
 class GreedyGoldenSpec extends AnyFunSuite {
-  import GreedyGoldenSpec.Golden
+  import GreedyGoldenSpec.{Golden, digest}
 
   private def workload: Seq[QExpr] = Seq(
     QPred(LePred("cpu", 19)),
@@ -19,14 +19,6 @@ class GreedyGoldenSpec extends AnyFunSuite {
 
   private def cuts: IndexedSeq[Pred] =
     Workload.candidateCuts(workload.zipWithIndex.map { case (e, i) => Query(s"q$i", e) })
-
-  /** SHA-256 over the leaf masks' words, in BID order. */
-  private def digest(masks: IndexedSeq[Array[Long]]): String = {
-    val md = java.security.MessageDigest.getInstance("SHA-256")
-    val buf = java.nio.ByteBuffer.allocate(8)
-    for (m <- masks; w <- m) { buf.clear(); buf.putLong(w); md.update(buf.array()) }
-    md.digest().map(b => f"${b & 0xff}%02x").mkString
-  }
 
   /** `Fixtures.store(3000, seed)`, b = 100. */
   private val goldens = Seq(
@@ -194,4 +186,12 @@ class GreedyGoldenSpec extends AnyFunSuite {
 
 object GreedyGoldenSpec {
   final case class Golden(seed: Long, relaxed: Boolean, maskDigest: String, render: String)
+
+  /** SHA-256 over the leaf masks' words, in BID order. */
+  def digest(masks: IndexedSeq[Array[Long]]): String = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    val buf = java.nio.ByteBuffer.allocate(8)
+    for (m <- masks; w <- m) { buf.clear(); buf.putLong(w); md.update(buf.array()) }
+    md.digest().map(b => f"${b & 0xff}%02x").mkString
+  }
 }

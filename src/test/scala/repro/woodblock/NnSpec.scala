@@ -11,12 +11,22 @@ class NnSpec extends AnyFunSuite {
     assert(!c.value.isNaN)
   }
 
+  test("a masked forward pass gives the unmasked logits at the legal actions, bit for bit") {
+    val net = new PolicyValueNet(inputDim = 6, hidden = 16, nActions = 40, seed = 2)
+    val x = Array(0.2, -0.4, 0.9, 0.0, 1.3, -0.1)
+    val full = net.forward(x)
+    val legal = Array(0, 3, 4, 17, 39)
+    val masked = net.forward(x, legal)
+    for (a <- legal) assert(masked.logits(a) == full.logits(a))
+    assert(masked.value == full.value && masked.a2.sameElements(full.a2))
+  }
+
   test("masked log-softmax normalizes over legal actions only") {
     val logits = Array(1.0, 2.0, 3.0, 4.0)
-    val legal = Array(true, false, true, false)
+    val legal = Array(0, 2)
     val lp = Nn.maskedLogSoftmax(logits, legal)
     assert(lp(1) == Double.NegativeInfinity && lp(3) == Double.NegativeInfinity)
-    val p = Nn.probsFromLogProbs(lp)
+    val p = Nn.probsFromLogProbs(lp, legal)
     assert(math.abs(p.sum - 1.0) < 1e-12)
     assert(p(2) > p(0))
     assert(math.abs(p(0) - math.exp(1.0) / (math.exp(1.0) + math.exp(3.0))) < 1e-12)
@@ -26,7 +36,7 @@ class NnSpec extends AnyFunSuite {
     val rng = new java.util.Random(3)
     val p = Array(0.0, 0.7, 0.3, 0.0)
     val counts = new Array[Int](4)
-    for (_ <- 0 until 2000) counts(Nn.sample(p, rng)) += 1
+    for (_ <- 0 until 2000) counts(Nn.sample(p, Array(0, 1, 2, 3), rng)) += 1
     assert(counts(0) == 0 && counts(3) == 0)
     assert(counts(1) > counts(2))
   }

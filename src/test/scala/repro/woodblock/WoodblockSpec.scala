@@ -89,4 +89,21 @@ class WoodblockSpec extends AnyFunSuite {
       WoodblockConfig(b = 100, episodes = 100000, updateEvery = 10, hidden = 8, seed = 5, timeLimitMs = 300))
     assert(res.curve.length < 100000)
   }
+
+  test("update episodes are time-stamped after their PPO update") {
+    val store = Fixtures.store(2000, seed = 60)
+    val w = Seq[QExpr](QPred(LePred("cpu", 19)))
+    val cuts = IndexedSeq[Pred](LePred("cpu", 19), LePred("mem", 31), InPred("prio", Set(0)))
+    // Every episode ends with an update of 3000 epochs, which takes far
+    // longer than the 100 ms budget; the episode's rollout takes far less.
+    val cfg = WoodblockConfig(b = 100, episodes = 5, updateEvery = 1, hidden = 64, seed = 6,
+      timeLimitMs = 100, ppo = PpoConfig(epochs = 3000))
+    val t0 = System.nanoTime()
+    val res = Woodblock.train(store, w, cuts, cfg)
+    val wallMs = (System.nanoTime() - t0) / 1000000
+    assert(res.curve.length == 1, "the first update exhausts the budget")
+    val p = res.curve.head
+    assert(p.ppo.isDefined)
+    assert(p.elapsedMs > cfg.timeLimitMs && p.elapsedMs * 2 >= wallMs, s"elapsedMs=${p.elapsedMs} wall=$wallMs")
+  }
 }
