@@ -10,18 +10,10 @@ import repro.woodblock.{Woodblock, WoodblockConfig}
   */
 class MicroBench extends SparkSpec {
 
-  val meta = TableMeta(IndexedSeq(
-    ColumnMeta("cpu", ColKind.Numeric, 0, 99),
-    ColumnMeta("disk", ColKind.Numeric, 0, 999)))
-  val q1: QExpr = QOr(Seq(QPred(LePred("cpu", 9)), QPred(GePred("cpu", 91))))
-  val q2: QExpr = QPred(LePred("disk", 9))
-  val cuts = IndexedSeq[Pred](LePred("cpu", 9), GePred("cpu", 91), LePred("disk", 9))
-
-  lazy val store: ColumnStore = {
-    val rng = new java.util.Random(0)
-    Encoder.fromRows(meta, Seq.fill(100000)(
-      Array(rng.nextInt(100).toDouble, rng.nextInt(1000).toDouble)))
-  }
+  val q1: QExpr = Fixtures.fig3Q1
+  val q2: QExpr = Fixtures.fig3Q2
+  val cuts: IndexedSeq[Pred] = Fixtures.fig3Cuts
+  lazy val store: ColumnStore = Fixtures.fig3Store(100000, 0)
 
   test("Fig. 3: greedy ~50.5%, WOODBLOCK ~10.4%, ~4.8x improvement") {
     val b = store.n / 120

@@ -46,8 +46,8 @@ final class Featurizer(meta: TableMeta, queriedCols: IndexedSeq[Int], maxMaskBit
 }
 
 /** Configuration for WOODBLOCK training (§5.2). `b` is the minimum block
-  * size in *store rows* — when the store is an s-fraction sample of the
-  * table, pass ceil(s·b_table) (§5.2.1).
+  * size in *store rows*, at least 1 — when the store is an s-fraction sample
+  * of the table, pass ceil(s·b_table) (§5.2.1).
   */
 final case class WoodblockConfig(
     b: Int,
@@ -55,7 +55,6 @@ final case class WoodblockConfig(
     updateEvery: Int = 8,
     hidden: Int = 128,
     seed: Long = 0,
-    maxLeaves: Int = 1 << 14,
     timeLimitMs: Long = Long.MaxValue,
     ppo: PpoConfig = PpoConfig())
 
@@ -89,13 +88,12 @@ final case class WoodblockResult(best: BuildResult, bestScanFraction: Double, cu
 object Woodblock {
 
   def train(store: ColumnStore, w: Seq[QExpr], cuts: IndexedSeq[Pred], cfg: WoodblockConfig): WoodblockResult = {
-    val meta = store.meta
-    val queried = Workload.queriedCols(meta, w.zipWithIndex.map { case (e, i) => Query(s"q$i", e) })
-    val cutMasks = cuts.map(store.evalPred).toArray
-    val fz = new Featurizer(meta, queried)
+    val kernel = new BuildKernel(store, w, cuts, cfg.b)
+    val fz = new Featurizer(store.meta, kernel.queried)
     val net = new PolicyValueNet(fz.dim, cfg.hidden, cuts.length, cfg.seed)
     val ppo = new Ppo(net, cfg.ppo, cfg.seed + 1)
     val rng = new Random(cfg.seed + 2)
+    val wq = w.toIndexedSeq
 
     var best: BuildResult = null
     var bestScan = Double.PositiveInfinity
@@ -106,7 +104,7 @@ object Woodblock {
     var ep = 0
     var stop = false
     while (ep < cfg.episodes && !stop) {
-      val (result, exps, scan) = episode(store, w, cuts, cutMasks, queried, fz, net, rng, cfg)
+      val (result, exps, scan) = episode(kernel, wq, fz, net, rng)
       buffer ++= exps
       if (scan < bestScan) { bestScan = scan; best = result }
       val stats =
@@ -124,105 +122,46 @@ object Woodblock {
     WoodblockResult(best, bestScan, curve.toIndexedSeq)
   }
 
-  /** The cuts among `candidates` (ascending cut indices) that are legal at
-    * a node with row set `mask` of `size` rows: both children keep at least
-    * `b` rows (§5.2.1). A child's rows on either side of a cut are a subset
-    * of its parent's, so a cut illegal at a node is illegal at its children,
-    * and the parent's legal cuts are the only candidates a child needs.
-    */
-  def legalCuts(mask: Array[Long], size: Int, candidates: Array[Int], cutMasks: Array[Array[Long]], b: Int): Array[Int] = {
-    val out = new Array[Int](candidates.length)
-    var n = 0
-    var k = 0
-    while (k < candidates.length) {
-      val ci = candidates(k)
-      val ln = Bits.countAnd(mask, cutMasks(ci))
-      if (ln >= b && size - ln >= b) { out(n) = ci; n += 1 }
-      k += 1
-    }
-    java.util.Arrays.copyOf(out, n)
-  }
-
   /** Construct one tree by sampling the current policy; returns the tree,
     * the per-node experiences, and the episode's scan fraction.
     */
   private def episode(
-      store: ColumnStore,
-      w: Seq[QExpr],
-      cuts: IndexedSeq[Pred],
-      cutMasks: Array[Array[Long]],
-      queried: IndexedSeq[Int],
+      k: BuildKernel,
+      w: IndexedSeq[QExpr],
       fz: Featurizer,
       net: PolicyValueNet,
-      rng: Random,
-      cfg: WoodblockConfig): (BuildResult, IndexedSeq[Experience], Double) = {
-    val meta = store.meta
-
-    // Mutable tree under construction. `candidates` holds the cuts that may
-    // be legal here: every cut at the root, the parent's legal cuts below it.
-    final class Mut(val mask: Array[Long], val size: Int, val desc: NodeDesc, val candidates: Array[Int]) {
-      var cut: Pred = _
-      var left: Mut = _
-      var right: Mut = _
-      var exp: Experience = _
-      var skipped: Long = 0 // S(n), filled bottom-up after the episode
-    }
-
-    val root = new Mut(Bits.full(store.n), store.n, NodeDesc.root(meta), Array.range(0, cuts.length))
+      rng: Random): (BuildResult, IndexedSeq[Experience], Double) = {
+    val root = k.root()
+    val expOf = scala.collection.mutable.HashMap[BuildNode, Experience]()
     val queue = scala.collection.mutable.Queue(root)
-    var leafCount = 1
-
     while (queue.nonEmpty) {
       val node = queue.dequeue()
-      val legal =
-        if (node.size >= 2 * cfg.b && leafCount + 1 <= cfg.maxLeaves)
-          legalCuts(node.mask, node.size, node.candidates, cutMasks, cfg.b)
-        else Array.emptyIntArray
+      val legal = k.legal(node)
       if (legal.nonEmpty) {
         val c = net.forward(fz.featurize(node.desc), legal)
         val lp = Nn.maskedLogSoftmax(c.logits, legal)
         val a = Nn.sample(Nn.probsFromLogProbs(lp, legal), legal, rng)
-        val cut = cuts(a)
-        val lm = Bits.and(node.mask, cutMasks(a))
-        val rm = Bits.andNot(node.mask, cutMasks(a))
-        node.cut = cut
-        node.left = new Mut(lm, Bits.count(lm), node.desc.restrict(meta, cut, left = true), legal)
-        node.right = new Mut(rm, node.size - Bits.count(lm), node.desc.restrict(meta, cut, left = false), legal)
-        node.exp = Experience(c, a, lp(a), reward = 0.0)
-        leafCount += 1
-        queue.enqueue(node.left)
-        queue.enqueue(node.right)
+        k.split(node, a, legal)
+        expOf(node) = Experience(c, a, lp(a), reward = 0.0)
+        queue.enqueue(node.left, node.right)
       }
     }
 
-    // Assign BIDs (DFS), collect leaf masks, compute S(n) bottom-up (§5.2.2).
-    var bid = 0
-    val leafMasks = scala.collection.mutable.ArrayBuffer[Array[Long]]()
-    def finish(n: Mut): QdNode =
-      if (n.cut == null) {
-        val tight = store.tighten(n.desc, n.mask, queried)
-        n.skipped = CostModel.skippedQueries(meta, w, tight).toLong * n.size
-        val l = QdLeaf(n.desc, bid, n.size.toLong)
-        bid += 1
-        leafMasks += n.mask
-        l
-      } else {
-        val l = finish(n.left)
-        val r = finish(n.right)
-        n.skipped = n.left.skipped + n.right.skipped
-        QdInternal(n.desc, n.cut, l, r)
-      }
-    val qroot = finish(root)
-
-    // Rewards: R((n,p)) = S(n) / (|W|·|n.records|), for every cut node.
+    // S(n) bottom-up (§5.2.2), and for every cut node, in pre-order, the
+    // reward R((n,p)) = S(n) / (|W|·|n.records|).
     val exps = scala.collection.mutable.ArrayBuffer[Experience]()
-    def rewards(n: Mut): Unit = if (n.cut != null) {
-      exps += n.exp.copy(reward = n.skipped.toDouble / (w.length.toDouble * n.size))
-      rewards(n.left); rewards(n.right)
-    }
-    rewards(root)
+    def skipped(n: BuildNode): Long =
+      if (n.cut < 0) CostModel.skippedQueries(k.meta, w, k.tighten(n)).toLong * n.size
+      else {
+        val i = exps.length
+        exps += null
+        val s = skipped(n.left) + skipped(n.right)
+        exps(i) = expOf(n).copy(reward = s.toDouble / (w.length.toDouble * n.size))
+        s
+      }
+    val rootSkipped = skipped(root)
 
-    val scan = 1.0 - root.skipped.toDouble / (store.n.toDouble * w.length)
-    (BuildResult(new QdTree(meta, qroot), leafMasks.toIndexedSeq), exps.toIndexedSeq, scan)
+    val scan = 1.0 - rootSkipped.toDouble / (root.size.toDouble * w.length)
+    (k.finish(root), exps.toIndexedSeq, scan)
   }
 }
